@@ -106,10 +106,6 @@ fn write_merged_artifacts(
     (tsv_path, metrics_path)
 }
 
-fn shard_files(base: &Path, shards: u64) -> Vec<ShardFiles> {
-    (0..shards).map(|i| ShardFiles::for_base(base, ShardSpec { index: i, count: shards })).collect()
-}
-
 fn main() {
     let mut opts = RunOptions::from_env();
     let base = opts
@@ -127,7 +123,7 @@ fn main() {
         let config = sweep_config(&opts);
         let plan = SweepPlan::new(&config);
         let merged = if opts.merge {
-            merge_shards(&plan, &shard_files(&base, opts.shards))
+            merge_shards(&plan, &ShardFiles::all_for_base(&base, opts.shards))
                 .unwrap_or_else(|e| die(&e.to_string()))
         } else {
             let executor = MultiProcessExecutor {

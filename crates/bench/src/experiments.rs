@@ -8,8 +8,8 @@ use hotspot_eval::lift::delta_percent;
 use hotspot_forecast::context::{ForecastContext, Target};
 use hotspot_forecast::models::ModelSpec;
 use hotspot_forecast::sweep::{
-    merge_shards, run_sweep_resumable, InProcessExecutor, ResiliencePolicy, ShardFiles,
-    ShardSpec, SweepConfig, SweepExecutor, SweepPlan, SweepResult, TableIIIGrid,
+    merge_shards, InProcessExecutor, ResiliencePolicy, ShardFiles, ShardSpec, SweepConfig,
+    SweepExecutor, SweepPlan, SweepResult, TableIIIGrid,
 };
 use hotspot_obs as obs;
 
@@ -61,16 +61,14 @@ pub fn run_sweep_with_options(
         result
     };
 
+    let plan = SweepPlan::new(config);
     if opts.merge {
         let base = opts.checkpoint.as_deref().expect("parse() enforces --checkpoint");
-        let plan = SweepPlan::new(config);
-        let files: Vec<ShardFiles> = (0..opts.shards)
-            .map(|i| ShardFiles::for_base(base, ShardSpec { index: i, count: opts.shards }))
-            .collect();
-        let merged = merge_shards(&plan, &files).unwrap_or_else(|e| {
-            obs::error!("{e}");
-            std::process::exit(2);
-        });
+        let merged = merge_shards(&plan, &ShardFiles::all_for_base(base, opts.shards))
+            .unwrap_or_else(|e| {
+                obs::error!("{e}");
+                std::process::exit(2);
+            });
         obs::info!(
             "merged {} shards of {} ({} cells, fingerprint {:016x})",
             opts.shards,
@@ -81,48 +79,30 @@ pub fn run_sweep_with_options(
         return finish(merged.result);
     }
 
-    if let Some(index) = opts.shard {
-        let base = opts.checkpoint.as_deref().expect("parse() enforces --checkpoint");
-        let shard = ShardSpec { index, count: opts.shards };
-        let files = ShardFiles::for_base(base, shard);
-        if files.checkpoint.exists() && !opts.resume {
-            obs::error!(
-                "shard checkpoint {} already exists; pass --resume to continue it or delete it first",
-                files.checkpoint.display()
-            );
-            std::process::exit(2);
+    let shard = opts.shard.map_or(ShardSpec::FULL, |index| ShardSpec { index, count: opts.shards });
+    let checkpoint = opts.checkpoint.as_deref().map(|path| {
+        if shard.is_full() {
+            path.to_path_buf()
+        } else {
+            ShardFiles::for_base(path, shard).checkpoint
         }
-        let plan = SweepPlan::new(config);
-        let executor = InProcessExecutor {
-            ctx,
-            config,
-            shard,
-            checkpoint: Some(files.checkpoint),
-            plane_cache: None,
-        };
-        let cells = executor.execute(&plan).unwrap_or_else(|e| {
-            obs::error!("sweep shard {shard} error: {e}");
-            std::process::exit(2);
-        });
+    });
+    if let Some(path) = checkpoint.as_deref().filter(|p| p.exists() && !opts.resume) {
+        obs::error!(
+            "checkpoint {} already exists; pass --resume to continue it or delete it first",
+            path.display()
+        );
+        std::process::exit(2);
+    }
+    let executor = InProcessExecutor { ctx, config, shard, checkpoint, plane_cache: None };
+    let cells = executor.execute(&plan).unwrap_or_else(|e| {
+        obs::error!("sweep error (shard {shard}): {e}");
+        std::process::exit(2);
+    });
+    if !shard.is_full() {
         obs::info!("shard {shard}: {} of {} plan cells done", cells.len(), plan.n_cells());
-        return finish(SweepResult::from_cells(cells));
     }
-
-    if let Some(path) = &opts.checkpoint {
-        if path.exists() && !opts.resume {
-            obs::error!(
-                "checkpoint {} already exists; pass --resume to continue it or delete it first",
-                path.display()
-            );
-            std::process::exit(2);
-        }
-    }
-    let result = run_sweep_resumable(ctx, config, opts.checkpoint.as_deref())
-        .unwrap_or_else(|e| {
-            obs::error!("sweep checkpoint error: {e}");
-            std::process::exit(2);
-        });
-    finish(result)
+    finish(SweepResult::from_cells(cells))
 }
 
 /// Run the `(model, t, h)` sweep at a fixed window `w`.

@@ -1,10 +1,10 @@
 //! # hotspot-bench
 //!
 //! The experiment harness: one binary per paper table/figure (under
-//! `src/bin/exp_*`), criterion microbenches (under `benches/`), and
-//! this shared library — CLI options, the standard dataset
-//! preparation pipeline (simulate → filter → impute → score), and
-//! TSV report printing.
+//! `src/bin/exp_*`), the `perf_baseline`, `sweep_worker` and
+//! `manifest_check` tools, and this shared library — CLI options, the
+//! standard dataset preparation pipeline (simulate → filter → impute →
+//! score), and TSV report printing.
 //!
 //! Every experiment binary prints a self-describing TSV block to
 //! stdout so `EXPERIMENTS.md` can quote results verbatim. All

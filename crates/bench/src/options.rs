@@ -221,8 +221,8 @@ impl RunOptions {
                 "--trace-out" => opts.trace_out = Some(take(&mut args, "--trace-out").into()),
                 "--max-bins" => {
                     let v = parse_num(&take(&mut args, "--max-bins"), "--max-bins");
-                    if v == 0 || v > u16::MAX as usize {
-                        eprintln!("--max-bins must be in 1..=65535, got {v}");
+                    if !(2..=256).contains(&v) {
+                        eprintln!("--max-bins must be in 2..=256, got {v}");
                         std::process::exit(2);
                     }
                     opts.max_bins = v as u16;
@@ -389,6 +389,11 @@ mod tests {
         // Flag order must not matter: --max-bins before --split-strategy.
         let swapped = parse(&["--max-bins", "64", "--split-strategy", "histogram"]);
         assert_eq!(swapped.split_strategy(), SplitStrategy::Histogram { max_bins: 64 });
+        // The accepted range's boundaries.
+        for bins in [2u16, 256] {
+            let b = parse(&["--max-bins", &bins.to_string()]);
+            assert_eq!(b.split_strategy(), SplitStrategy::Histogram { max_bins: bins });
+        }
     }
 
     #[test]

@@ -34,11 +34,11 @@ use crate::evaluate::EvalRecord;
 use crate::models::ModelSpec;
 use crate::sweep::{CellKey, CellOutcome, ShardSpec, SweepCell, SweepConfig, SweepPlan};
 use hotspot_core::error::{CoreError, Result as CoreResult};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 const MAGIC: &str = "# hotspot-sweep-checkpoint v2";
 
@@ -405,7 +405,7 @@ impl CheckpointWriter {
     /// Journal one finished cell.
     pub fn append(&self, cell: &SweepCell) -> CoreResult<()> {
         let line = format!("{}\n", render_line(cell));
-        let mut file = self.file.lock();
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         file.write_all(line.as_bytes())?;
         file.flush()?;
         hotspot_obs::counter("sweep.checkpoint_appends").inc();

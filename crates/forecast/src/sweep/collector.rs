@@ -60,6 +60,12 @@ impl ShardFiles {
             manifest: dir.join(format!("{tag}.manifest.json")),
         }
     }
+
+    /// The files of every shard `0..count` of a `count`-way split of
+    /// `base`, in shard order — what a merge reads.
+    pub fn all_for_base(base: &Path, count: u64) -> Vec<ShardFiles> {
+        (0..count).map(|index| ShardFiles::for_base(base, ShardSpec { index, count })).collect()
+    }
 }
 
 /// A merged multi-shard sweep: the combined result plus the merged

@@ -1,6 +1,6 @@
 //! The executor layer: running cells of a [`SweepPlan`].
 //!
-//! [`InProcessExecutor`] is the classic path — a crossbeam thread
+//! [`InProcessExecutor`] is the classic path — a `std::thread::scope`
 //! pool pulling cells off an atomic work queue, with per-cell
 //! [`catch_unwind`] panic isolation, bounded deterministic retry,
 //! cooperative soft deadlines, and an append-only checkpoint journal.
@@ -28,12 +28,12 @@ use hotspot_core::error::{CoreError, Result as CoreResult};
 use hotspot_features::windows::WindowSpec;
 use hotspot_obs as obs;
 use hotspot_trees::CancelToken;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Something that can execute (a shard of) a sweep plan.
@@ -111,9 +111,9 @@ impl SweepExecutor for InProcessExecutor<'_> {
         let write_error: Mutex<Option<CoreError>> = Mutex::new(None);
         let next = AtomicUsize::new(0);
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let idx = next.fetch_add(1, Ordering::Relaxed);
                     if idx >= combos.len() {
                         break;
@@ -133,23 +133,25 @@ impl SweepExecutor for InProcessExecutor<'_> {
                             );
                             if let Some(writer) = &writer {
                                 if let Err(e) = writer.append(&cell) {
-                                    write_error.lock().get_or_insert(e);
+                                    write_error
+                                        .lock()
+                                        .unwrap_or_else(PoisonError::into_inner)
+                                        .get_or_insert(e);
                                 }
                             }
                             cell
                         }
                     };
                     record_cell_metrics(&cell);
-                    results.lock().push(cell);
+                    results.lock().unwrap_or_else(PoisonError::into_inner).push(cell);
                 });
             }
-        })
-        .expect("sweep worker panicked outside cell isolation");
+        });
 
-        if let Some(e) = write_error.into_inner() {
+        if let Some(e) = write_error.into_inner().unwrap_or_else(PoisonError::into_inner) {
             return Err(e);
         }
-        Ok(results.into_inner())
+        Ok(results.into_inner().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -186,13 +188,6 @@ pub struct MultiProcessExecutor {
 }
 
 impl MultiProcessExecutor {
-    /// The shard-file layout this executor expects workers to fill.
-    pub fn shard_files(&self) -> Vec<ShardFiles> {
-        (0..self.shards)
-            .map(|i| ShardFiles::for_base(&self.base, ShardSpec { index: i, count: self.shards }))
-            .collect()
-    }
-
     /// Spawn all workers, wait for them, and merge their shards.
     ///
     /// # Errors
@@ -237,7 +232,7 @@ impl MultiProcessExecutor {
         if let Some(e) = first_failure {
             return Err(e);
         }
-        merge_shards(plan, &self.shard_files())
+        merge_shards(plan, &ShardFiles::all_for_base(&self.base, self.shards))
     }
 }
 

@@ -7,8 +7,9 @@
 //!
 //! * a [`BinnedDataset`] is built **once per fit** (once per *forest*,
 //!   shared read-only across all trees): per-feature quantile bin
-//!   edges plus `u8`/`u16` bin codes stored column-major so the
-//!   per-feature accumulation loop scans contiguous memory;
+//!   edges plus `u8` bin codes stored column-major so the
+//!   per-feature accumulation loop scans contiguous memory (bins are
+//!   capped at 256 per feature, so every code fits a byte);
 //! * a [`NodeHistogram`] accumulates a `(bin × {a, b})` pair table for
 //!   one node — `(weight, positive_weight)` for classification trees,
 //!   `(gradient, hessian)` for GBDT — and split search walks bins
@@ -34,7 +35,7 @@ pub enum SplitStrategy {
     /// Pre-bin features once per fit and accumulate per-node
     /// histograms; `max_bins` caps the bins per feature.
     Histogram {
-        /// Upper bound on bins per feature (≥ 2).
+        /// Upper bound on bins per feature, clamped to `2..=256`.
         max_bins: u16,
     },
 }
@@ -61,13 +62,8 @@ impl Default for SplitStrategy {
 /// can hold alive.
 pub const HIST_MIN_NODE_ROWS: usize = 32;
 
-/// Bin codes, `u8` when every feature fits in 256 bins (the default
-/// `max_bins = 255` always does), `u16` otherwise.
-#[derive(Debug, Clone)]
-enum Codes {
-    U8(Vec<u8>),
-    U16(Vec<u16>),
-}
+/// The most bins a feature can get: every bin code fits in a `u8`.
+const MAX_BINS_CAP: u16 = 256;
 
 /// Quantile-binned view of a [`Dataset`]'s features, built once per
 /// fit and shared read-only across all trees of a forest.
@@ -87,17 +83,17 @@ pub struct BinnedDataset {
     /// represented values, so `value <= cut[j]` ⇔ `code <= j`.
     cuts: Vec<Vec<f64>>,
     /// Column-major bin codes: feature `f`, row `i` at `f * n_rows + i`.
-    codes: Codes,
+    codes: Vec<u8>,
 }
 
 impl BinnedDataset {
     /// Bin every feature of `data` into at most `max_bins` quantile
-    /// bins (`max_bins` is clamped to ≥ 2). Cost: one sort per
+    /// bins (`max_bins` is clamped to `2..=256`). Cost: one sort per
     /// feature, `O(d · n log n)` — paid once per fit.
     pub fn build(data: &Dataset, max_bins: u16) -> Self {
         let n = data.n_samples();
         let d = data.n_features();
-        let max_bins = max_bins.max(2) as usize;
+        let max_bins = usize::from(max_bins.clamp(2, MAX_BINS_CAP));
         let mut offsets = Vec::with_capacity(d + 1);
         let mut cuts: Vec<Vec<f64>> = Vec::with_capacity(d);
         offsets.push(0usize);
@@ -110,28 +106,13 @@ impl BinnedDataset {
             let n_bins = cuts[f].len() + 1;
             offsets.push(offsets[f] + n_bins);
         }
-        let widest = (0..d).map(|f| cuts[f].len() + 1).max().unwrap_or(1);
-        let mut binned = BinnedDataset {
-            n_rows: n,
-            n_features: d,
-            offsets,
-            cuts,
-            codes: if widest <= usize::from(u8::MAX) + 1 {
-                Codes::U8(vec![0; n * d])
-            } else {
-                Codes::U16(vec![0; n * d])
-            },
-        };
+        let mut codes = vec![0u8; n * d];
         for f in 0..d {
             for i in 0..n {
-                let code = binned.cuts[f].partition_point(|&c| c < data.feature(i, f));
-                match &mut binned.codes {
-                    Codes::U8(v) => v[f * n + i] = code as u8,
-                    Codes::U16(v) => v[f * n + i] = code as u16,
-                }
+                codes[f * n + i] = cuts[f].partition_point(|&c| c < data.feature(i, f)) as u8;
             }
         }
-        binned
+        BinnedDataset { n_rows: n, n_features: d, offsets, cuts, codes }
     }
 
     /// Number of rows the codes cover.
@@ -162,10 +143,7 @@ impl BinnedDataset {
     /// Bin code of `(row, feature)`.
     #[inline]
     pub fn code(&self, row: usize, f: usize) -> usize {
-        match &self.codes {
-            Codes::U8(v) => v[f * self.n_rows + row] as usize,
-            Codes::U16(v) => v[f * self.n_rows + row] as usize,
-        }
+        usize::from(self.codes[f * self.n_rows + row])
     }
 
     /// The index `j` such that `cut(f, j) == threshold`, for a
@@ -175,25 +153,16 @@ impl BinnedDataset {
     }
 
     /// Partition a node's rows on `code(·, f) <= bin` — equivalent to
-    /// `value <= cut(f, bin)` by construction, but reading one narrow
-    /// code per row instead of a strided `f64` from the feature matrix.
+    /// `value <= cut(f, bin)` by construction, but reading one byte
+    /// per row instead of a strided `f64` from the feature matrix.
     pub fn partition_leq(
         &self,
         f: usize,
         bin: usize,
         indices: Vec<usize>,
     ) -> (Vec<usize>, Vec<usize>) {
-        let n = self.n_rows;
-        match &self.codes {
-            Codes::U8(v) => {
-                let col = &v[f * n..(f + 1) * n];
-                indices.into_iter().partition(|&i| usize::from(col[i]) <= bin)
-            }
-            Codes::U16(v) => {
-                let col = &v[f * n..(f + 1) * n];
-                indices.into_iter().partition(|&i| usize::from(col[i]) <= bin)
-            }
-        }
+        let col = self.column(f);
+        indices.into_iter().partition(|&i| usize::from(col[i]) <= bin)
     }
 
     /// Accumulate one feature's bins over a node's rows into `bins`
@@ -216,25 +185,18 @@ impl BinnedDataset {
     ) {
         debug_assert_eq!(indices.len(), a.len());
         debug_assert_eq!(indices.len(), b.len());
-        let n = self.n_rows;
-        match &self.codes {
-            Codes::U8(codes) => {
-                let col = &codes[f * n..(f + 1) * n];
-                for (j, &i) in indices.iter().enumerate() {
-                    let cell = &mut bins[col[i] as usize];
-                    cell.0 += a[j];
-                    cell.1 += b[j];
-                }
-            }
-            Codes::U16(codes) => {
-                let col = &codes[f * n..(f + 1) * n];
-                for (j, &i) in indices.iter().enumerate() {
-                    let cell = &mut bins[col[i] as usize];
-                    cell.0 += a[j];
-                    cell.1 += b[j];
-                }
-            }
+        let col = self.column(f);
+        for (j, &i) in indices.iter().enumerate() {
+            let cell = &mut bins[usize::from(col[i])];
+            cell.0 += a[j];
+            cell.1 += b[j];
         }
+    }
+
+    /// Feature `f`'s codes for every row.
+    #[inline]
+    fn column(&self, f: usize) -> &[u8] {
+        &self.codes[f * self.n_rows..(f + 1) * self.n_rows]
     }
 }
 
@@ -301,26 +263,13 @@ impl NodeHistogram {
     /// Accumulate the node's rows: for every feature, add `(a[i],
     /// b[i])` into the row's bin. `O(indices.len() · d)`, no sorting.
     pub fn accumulate(&mut self, binned: &BinnedDataset, indices: &[usize], a: &[f64], b: &[f64]) {
-        let n = binned.n_rows;
         for f in 0..binned.n_features {
             let bins = &mut self.bins[binned.offsets[f]..binned.offsets[f + 1]];
-            match &binned.codes {
-                Codes::U8(codes) => {
-                    let col = &codes[f * n..(f + 1) * n];
-                    for &i in indices {
-                        let cell = &mut bins[col[i] as usize];
-                        cell.0 += a[i];
-                        cell.1 += b[i];
-                    }
-                }
-                Codes::U16(codes) => {
-                    let col = &codes[f * n..(f + 1) * n];
-                    for &i in indices {
-                        let cell = &mut bins[col[i] as usize];
-                        cell.0 += a[i];
-                        cell.1 += b[i];
-                    }
-                }
+            let col = binned.column(f);
+            for &i in indices {
+                let cell = &mut bins[usize::from(col[i])];
+                cell.0 += a[i];
+                cell.1 += b[i];
             }
         }
     }
@@ -445,12 +394,14 @@ mod tests {
     }
 
     #[test]
-    fn wide_bins_switch_to_u16_codes() {
+    fn max_bins_above_the_cap_clamps_to_256() {
         let values: Vec<f64> = (0..600).map(|i| i as f64).collect();
         let d = data(values, 1);
         let b = BinnedDataset::build(&d, 600);
-        assert_eq!(b.n_bins(0), 600);
-        assert_eq!(b.code(599, 0), 599); // needs u16
+        assert!(b.n_bins(0) <= 256, "bins {}", b.n_bins(0));
+        for i in 1..600 {
+            assert!(b.code(i, 0) >= b.code(i - 1, 0));
+        }
     }
 
     #[test]

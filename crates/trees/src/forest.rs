@@ -4,7 +4,8 @@
 //! bootstrap resample of the training set, evaluating at most √d
 //! features per partition, and predictions average the per-tree class
 //! probabilities (the soft-voting variant scikit-learn implements).
-//! Trees are fit in parallel with crossbeam scoped threads.
+//! Trees are fit in parallel on `std::thread::scope` threads; a panic
+//! in any of them re-raises from `fit`.
 
 use crate::binned::{BinnedDataset, SplitStrategy, HIST_MIN_NODE_ROWS};
 use crate::cancel::CancelToken;
@@ -119,11 +120,11 @@ impl RandomForest {
         let binned = binned.as_ref();
 
         let mut trees: Vec<Option<DecisionTree>> = vec![None; params.n_trees];
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (shard_id, shard) in trees.chunks_mut(params.n_trees.div_ceil(threads)).enumerate()
             {
                 let chunk = params.n_trees.div_ceil(threads);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (off, slot) in shard.iter_mut().enumerate() {
                         if params.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
                             break;
@@ -133,8 +134,7 @@ impl RandomForest {
                     }
                 });
             }
-        })
-        .expect("forest fitting thread panicked");
+        });
 
         // A cancelled fit leaves trailing slots empty; keep whatever
         // completed so the caller gets a usable (if weaker) ensemble.
@@ -216,16 +216,15 @@ impl RandomForest {
         }
         let mut out = vec![0.0; n];
         let chunk = n.div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (c, slot) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (off, o) in slot.iter_mut().enumerate() {
                         *o = self.predict_proba(data.row(c * chunk + off));
                     }
                 });
             }
-        })
-        .expect("prediction thread panicked");
+        });
         out
     }
 

@@ -6,6 +6,8 @@
 #
 # Tier-1 (ROADMAP.md) is the root package: release build + its tests.
 # Clippy runs with -D warnings so lints cannot accumulate silently.
+# The benchmark (benchmark/, a workspace of its own that clippy never
+# sees) is compiled against the current crates and unit-tested.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +19,9 @@ cargo test -q
 
 echo '>>> clippy (workspace, -D warnings)'
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo '>>> benchmark: compile against the current crates + its unit tests'
+cargo test --offline --manifest-path benchmark/Cargo.toml
 
 echo '>>> observability smoke'
 scripts/obs_smoke.sh
