@@ -155,13 +155,19 @@ impl Autoencoder {
         }
         loss /= count;
 
-        // Backprop through the stack.
+        // Backprop through the stack. Nothing consumes the gradient
+        // with respect to the network's input, so the first stage
+        // stops at its parameter gradients.
         let mut delta = dy;
-        for s in self.stages.iter_mut().rev() {
+        for (idx, s) in self.stages.iter_mut().enumerate().rev() {
             if let Some(a) = &mut s.act {
                 delta = a.backward(&delta);
             }
-            delta = s.dense.backward(&delta);
+            if idx == 0 {
+                s.dense.backward_params(&delta);
+            } else {
+                delta = s.dense.backward(&delta);
+            }
         }
         // Parameter updates.
         for s in &mut self.stages {
@@ -174,10 +180,18 @@ impl Autoencoder {
         loss
     }
 
-    /// Reconstruction without caching side effects mattering (forward
-    /// is reused; provided for readability at call sites).
-    pub fn reconstruct(&mut self, x: &Mat) -> Mat {
-        self.forward(x)
+    /// Inference over a batch `(batch × input_dim)`: the forward pass
+    /// without the caches training needs. Each output row depends on
+    /// its input row only, bit for bit.
+    pub fn reconstruct(&self, x: &Mat) -> Mat {
+        let mut h = x.clone();
+        for s in &self.stages {
+            h = s.dense.infer(&h);
+            if let Some(a) = &s.act {
+                h = a.infer(&h);
+            }
+        }
+        h
     }
 
     /// The configuration used to build this network.

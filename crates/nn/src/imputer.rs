@@ -157,6 +157,10 @@ impl ImputerConfig {
     }
 }
 
+/// Gapped slices reconstructed per network pass: large enough to keep
+/// the matmul kernel busy, small enough to keep memory flat.
+const RECONSTRUCT_ROWS: usize = 256;
+
 /// The denoising-autoencoder imputer.
 pub struct AutoencoderImputer {
     config: ImputerConfig,
@@ -323,16 +327,24 @@ impl AutoencoderImputer {
         self.network = Some(net);
     }
 
+    /// The network's input for one slice: z-normalised, with its gaps
+    /// forward-filled.
+    fn slice_input(&self, kpis: &Tensor3, i: usize, j0: usize) -> Vec<f64> {
+        let (mut values, mask) = self.slice_norm(kpis, i, j0);
+        Self::forward_fill_flat(&mut values, &mask, self.config.slice_hours, kpis.n_features());
+        values
+    }
+
+    fn network(&self) -> &Autoencoder {
+        self.network.as_ref().expect("fit before reconstruct")
+    }
+
     /// Reconstruct one slice and return the denormalised values for
     /// its missing cells (used by the Fig. 5 experiment for plotting).
-    pub fn reconstruct_slice(&mut self, kpis: &Tensor3, i: usize, j0: usize) -> Vec<f64> {
+    pub fn reconstruct_slice(&self, kpis: &Tensor3, i: usize, j0: usize) -> Vec<f64> {
         let l = kpis.n_features();
-        let h = self.config.slice_hours;
-        let (mut values, mask) = self.slice_norm(kpis, i, j0);
-        Self::forward_fill_flat(&mut values, &mask, h, l);
-        let input_dim = h * l;
-        let net = self.network.as_mut().expect("fit before reconstruct");
-        let y = net.reconstruct(&Mat::from_vec(1, input_dim, values));
+        let values = self.slice_input(kpis, i, j0);
+        let y = self.network().reconstruct(&Mat::from_vec(1, values.len(), values));
         y.as_slice()
             .iter()
             .enumerate()
@@ -342,41 +354,55 @@ impl AutoencoderImputer {
             })
             .collect()
     }
-}
 
-impl Imputer for AutoencoderImputer {
-    /// Fit (if not already fitted) and fill every gap with the
-    /// network's reconstruction. Slices tile the series; a trailing
-    /// partial window is covered by an end-aligned (overlapping)
-    /// slice.
-    fn impute(&mut self, kpis: &mut Tensor3) -> usize {
-        if self.network.is_none() {
-            self.fit(kpis);
-        }
-        let (n, m, l) = kpis.shape();
+    /// Fill the gaps of every sector's slices starting at `starts`
+    /// (which must not overlap), reconstructing up to
+    /// [`RECONSTRUCT_ROWS`] gapped slices per network pass. Returns
+    /// the number of cells filled.
+    fn fill_slices(&self, kpis: &mut Tensor3, starts: &[usize]) -> usize {
+        let (n, _, l) = kpis.shape();
         let h = self.config.slice_hours;
-        let mut starts: Vec<usize> = (0..m / h).map(|s| s * h).collect();
-        if m % h != 0 && m >= h {
-            starts.push(m - h);
-        }
+        let gapped: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| starts.iter().map(move |&j0| (i, j0)))
+            .filter(|&(i, j0)| (j0..j0 + h).any(|j| kpis.frame(i, j).iter().any(|v| v.is_nan())))
+            .collect();
         let mut filled = 0usize;
-        for i in 0..n {
-            for &j0 in &starts {
-                // Skip slices without gaps.
-                let has_gap = (j0..j0 + h).any(|j| kpis.frame(i, j).iter().any(|v| v.is_nan()));
-                if !has_gap {
-                    continue;
-                }
-                let recon = self.reconstruct_slice(kpis, i, j0);
-                for j in j0..j0 + h {
-                    for k in 0..l {
-                        if kpis.get(i, j, k).is_nan() {
-                            kpis.set(i, j, k, recon[(j - j0) * l + k]);
+        for batch in gapped.chunks(RECONSTRUCT_ROWS) {
+            let input: Vec<f64> =
+                batch.iter().flat_map(|&(i, j0)| self.slice_input(kpis, i, j0)).collect();
+            let recon = self.network().reconstruct(&Mat::from_vec(batch.len(), h * l, input));
+            for (&(i, j0), row) in batch.iter().zip(recon.as_slice().chunks_exact(h * l)) {
+                for (j, hour) in (j0..j0 + h).zip(row.chunks_exact(l)) {
+                    for (k, (v, &r)) in kpis.frame_mut(i, j).iter_mut().zip(hour).enumerate() {
+                        if v.is_nan() {
+                            *v = r * self.kpi_std[k] + self.kpi_mean[k];
                             filled += 1;
                         }
                     }
                 }
             }
+        }
+        filled
+    }
+}
+
+impl Imputer for AutoencoderImputer {
+    /// Fit (if not already fitted) and fill every gap with the
+    /// network's reconstruction. Slices tile the series; a trailing
+    /// partial window is covered by an end-aligned slice that
+    /// overlaps the last tiled one, so it is reconstructed second,
+    /// from input that already holds the tiled slices' fills.
+    fn impute(&mut self, kpis: &mut Tensor3) -> usize {
+        if self.network.is_none() {
+            self.fit(kpis);
+        }
+        let _span = obs::span!("imputer.reconstruct");
+        let m = kpis.n_time();
+        let h = self.config.slice_hours;
+        let tiled: Vec<usize> = (0..m / h).map(|s| s * h).collect();
+        let mut filled = self.fill_slices(kpis, &tiled);
+        if !m.is_multiple_of(h) && m >= h {
+            filled += self.fill_slices(kpis, &[m - h]);
         }
         obs::counter("imputer.cells_imputed").add(filled as u64);
         filled
@@ -505,5 +531,129 @@ mod tests {
         let head: f64 = trace[..5].iter().sum::<f64>() / 5.0;
         let tail: f64 = trace[trace.len() - 5..].iter().sum::<f64>() / 5.0;
         assert!(tail < head, "loss head {head} tail {tail}");
+    }
+
+    #[test]
+    fn batched_fill_matches_one_slice_reconstruction() {
+        // More gapped slices than one reconstruction pass takes; one
+        // gap per sector, alternating between its two slices.
+        let n = RECONSTRUCT_ROWS + 9;
+        let gap = |i: usize| ((i % 2) * 4 + 1, i % 2);
+        let mut t = Tensor3::from_fn(n, 8, 2, |i, j, k| ((i * 5 + j * 3 + k) % 7) as f64);
+        for i in 0..n {
+            let (j, k) = gap(i);
+            t.set(i, j, k, f64::NAN);
+        }
+        let mut imp = AutoencoderImputer::new(ImputerConfig {
+            slice_hours: 4,
+            depth: 1,
+            epochs: 1,
+            batch_size: 32,
+            ..tiny_ae_config()
+        });
+        imp.fit(&t);
+        let expected: Vec<f64> = (0..n)
+            .map(|i| {
+                let (j, k) = gap(i);
+                let j0 = j / 4 * 4;
+                imp.reconstruct_slice(&t, i, j0)[(j - j0) * 2 + k]
+            })
+            .collect();
+        assert_eq!(imp.impute(&mut t), n);
+        for (i, want) in expected.iter().enumerate() {
+            let (j, k) = gap(i);
+            assert_eq!(t.get(i, j, k).to_bits(), want.to_bits(), "sector {i}");
+        }
+    }
+
+    #[test]
+    fn fit_and_fill_record_separate_spans() {
+        obs::set_spans_enabled(true);
+        let mut t = patterned_tensor();
+        t.set(1, 9, 0, f64::NAN);
+        AutoencoderImputer::new(tiny_ae_config()).impute(&mut t);
+        let spans = obs::global().snapshot().spans;
+        obs::set_spans_enabled(false);
+        assert!(spans.contains_key("imputer.fit"), "{:?}", spans.keys());
+        assert!(spans.contains_key("imputer.reconstruct"), "{:?}", spans.keys());
+    }
+
+    /// FNV-1a over the IEEE-754 bit patterns, so any single-bit change
+    /// in any value changes the digest.
+    fn fnv1a_bits(values: &[f64]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// A tensor whose shape hits every edge of the imputer: 34 hours
+    /// in 6-hour slices (a trailing end-aligned slice over hours
+    /// 28..34 overlapping the last tiled slice 24..30), 18-wide input
+    /// and 7-row batches (neither a multiple of a kernel tile), gaps
+    /// inside that overlap, and fully observed slices. Values use only
+    /// basic arithmetic so the digest does not depend on a libm.
+    fn golden_tensor() -> Tensor3 {
+        let mut t = Tensor3::from_fn(5, 34, 3, |i, j, k| {
+            5.0 + ((j * 7 + i * 3 + k * 5) % 11) as f64 * 0.25
+                + (j % 6) as f64 * 0.5 * (k + 1) as f64
+        });
+        for (i, j, k) in [
+            (0, 2, 0),
+            (0, 3, 0),
+            (1, 28, 1), // overlap of the last tiled and the trailing slice
+            (1, 29, 2),
+            (1, 32, 0), // trailing slice only: its input sees the fills above
+            (2, 33, 2),
+            (4, 29, 0), // overlap only: filled by the tiled slice
+        ] {
+            t.set(i, j, k, f64::NAN);
+        }
+        for j in 10..14 {
+            for k in 0..3 {
+                t.set(4, j, k, f64::NAN);
+            }
+        }
+        t
+    }
+
+    fn golden_config() -> ImputerConfig {
+        ImputerConfig {
+            slice_hours: 6,
+            depth: 2,
+            epochs: 3,
+            batch_size: 7,
+            learning_rate: 5e-3,
+            rho: 0.9,
+            corruption_cap: 0.5,
+            seed: 11,
+        }
+    }
+
+    /// Bit-identity gate for the whole fit + fill path. The constants
+    /// were recorded before the matmul kernels were rewritten; a
+    /// kernel that reorders, fuses or splits any sum changes them.
+    #[test]
+    fn autoencoder_golden_digests() {
+        let mut t = golden_tensor();
+        let mut imp = AutoencoderImputer::new(golden_config());
+        let filled = imp.impute(&mut t);
+        assert_eq!(filled, 7 + 12);
+        assert_eq!(t.count_nan(), 0);
+        assert_eq!(imp.loss_trace.len(), 12);
+        assert_eq!(
+            format!("{:016x}", fnv1a_bits(&imp.loss_trace)),
+            "d15669fc5948f716",
+            "loss trace digest"
+        );
+        assert_eq!(
+            format!("{:016x}", fnv1a_bits(t.as_slice())),
+            "75da68ba32cf61e7",
+            "imputed tensor digest"
+        );
     }
 }

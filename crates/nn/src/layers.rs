@@ -1,8 +1,8 @@
 //! MLP layers: dense (affine) and parametric ReLU.
 //!
-//! Each layer caches what its backward pass needs; `forward` then
+//! `forward` caches what the backward pass needs; `forward` then
 //! `backward` must be called in matching order (the autoencoder
-//! enforces this).
+//! enforces this). `infer` is the same map without the cache.
 
 use crate::linalg::Mat;
 use rand::rngs::StdRng;
@@ -46,8 +46,9 @@ impl Dense {
         self.w.cols()
     }
 
-    /// Forward over a batch `(batch × in)` → `(batch × out)`.
-    pub fn forward(&mut self, x: &Mat) -> Mat {
+    /// Inference over a batch `(batch × in)` → `(batch × out)`; caches
+    /// nothing.
+    pub fn infer(&self, x: &Mat) -> Mat {
         let mut y = x.matmul(&self.w);
         for r in 0..y.rows() {
             let row = y.row_mut(r);
@@ -55,6 +56,12 @@ impl Dense {
                 *v += b;
             }
         }
+        y
+    }
+
+    /// Forward over a batch, caching the input for `backward`.
+    pub fn forward(&mut self, x: &Mat) -> Mat {
+        let y = self.infer(x);
         self.input_cache = Some(x.clone());
         y
     }
@@ -65,6 +72,17 @@ impl Dense {
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dy: &Mat) -> Mat {
+        self.backward_params(dy);
+        dy.matmul_t(&self.w)
+    }
+
+    /// The parameter half of [`Dense::backward`]: sets `grad_w` and
+    /// `grad_b` without computing `dL/dx`, for a first layer whose
+    /// input gradient nothing consumes.
+    ///
+    /// # Panics
+    /// Panics if called before `forward`.
+    pub fn backward_params(&mut self, dy: &Mat) {
         let x = self.input_cache.as_ref().expect("forward before backward");
         self.grad_w = x.t_matmul(dy);
         for g in &mut self.grad_b {
@@ -75,7 +93,6 @@ impl Dense {
                 *g += d;
             }
         }
-        dy.matmul_t(&self.w)
     }
 }
 
@@ -96,11 +113,22 @@ impl PRelu {
         PRelu { alpha: vec![0.25; units], grad_alpha: vec![0.0; units], input_cache: None }
     }
 
-    /// Forward over a batch `(batch × units)`.
+    /// Forward over a batch `(batch × units)`, caching the input for
+    /// `backward`.
     ///
     /// # Panics
     /// Panics if the column count differs from the unit count.
     pub fn forward(&mut self, x: &Mat) -> Mat {
+        let y = self.infer(x);
+        self.input_cache = Some(x.clone());
+        y
+    }
+
+    /// Inference over a batch; caches nothing.
+    ///
+    /// # Panics
+    /// Panics if the column count differs from the unit count.
+    pub fn infer(&self, x: &Mat) -> Mat {
         assert_eq!(x.cols(), self.alpha.len(), "PReLU width mismatch");
         let mut y = x.clone();
         for r in 0..y.rows() {
@@ -111,7 +139,6 @@ impl PRelu {
                 }
             }
         }
-        self.input_cache = Some(x.clone());
         y
     }
 

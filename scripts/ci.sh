@@ -5,6 +5,8 @@
 #   scripts/ci.sh --full   # additionally run every workspace test
 #
 # Tier-1 (ROADMAP.md) is the root package: release build + its tests.
+# The nn crate's unit tests (kernel parity, the imputer's bit-identity
+# digests) are not in the root package, so they run next.
 # Clippy runs with -D warnings so lints cannot accumulate silently.
 # The benchmark (benchmark/, a workspace of its own that clippy never
 # sees) is compiled against the current crates and unit-tested.
@@ -16,6 +18,9 @@ cargo build --release
 
 echo '>>> tier-1: cargo test -q'
 cargo test -q
+
+echo '>>> nn unit tests (kernel parity, imputer golden digests)'
+cargo test -q -p hotspot-nn
 
 echo '>>> clippy (workspace, -D warnings)'
 cargo clippy --workspace --all-targets -- -D warnings
