@@ -195,10 +195,8 @@ mod tests {
 
         // The feature-plane cache is byte-transparent and the trace
         // sink is pure output — neither may move the fingerprint.
-        let uncached = RunOptions { feature_cache: false, ..base.clone() };
         let small_cache = RunOptions { feature_cache_mb: 1, ..base.clone() };
         let traced = RunOptions { trace_out: Some("/tmp/run.trace.json".into()), ..base.clone() };
-        assert_eq!(fp("fig09", &base), fp("fig09", &uncached), "cache toggle is plumbing");
         assert_eq!(fp("fig09", &base), fp("fig09", &small_cache), "cache budget is plumbing");
         assert_eq!(fp("fig09", &base), fp("fig09", &traced), "trace sink is plumbing");
     }

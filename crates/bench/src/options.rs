@@ -70,10 +70,8 @@ pub struct RunOptions {
     /// Merge mode: adopt existing shard checkpoints/manifests instead
     /// of computing, and continue with the merged result.
     pub merge: bool,
-    /// Feature-plane cache toggle (`--feature-cache on|off`). On by
-    /// default; byte-transparent plumbing, never fingerprinted.
-    pub feature_cache: bool,
-    /// Plane-cache byte budget in MiB (`--feature-cache-mb N`).
+    /// Plane-cache byte budget in MiB (`--feature-cache-mb N`);
+    /// byte-transparent plumbing, never fingerprinted.
     pub feature_cache_mb: usize,
     /// Stream chrome-tracing span events (begin/end pairs) to this
     /// file (`--trace-out PATH`); load it in `about://tracing` or
@@ -105,7 +103,6 @@ impl Default for RunOptions {
             shards: 1,
             shard: None,
             merge: false,
-            feature_cache: true,
             feature_cache_mb: hotspot_forecast::FeatureCacheConfig::DEFAULT_BUDGET_MB,
             trace_out: None,
         }
@@ -199,21 +196,11 @@ impl RunOptions {
                     opts.shard = Some(parse_num(&take(&mut args, "--shard"), "--shard") as u64)
                 }
                 "--merge" => opts.merge = true,
-                "--feature-cache" => {
-                    opts.feature_cache = match take(&mut args, "--feature-cache").as_str() {
-                        "on" => true,
-                        "off" => false,
-                        other => {
-                            eprintln!("unknown --feature-cache value '{other}' (on|off)");
-                            std::process::exit(2);
-                        }
-                    }
-                }
                 "--feature-cache-mb" => {
                     let v =
                         parse_num(&take(&mut args, "--feature-cache-mb"), "--feature-cache-mb");
                     if v == 0 {
-                        eprintln!("--feature-cache-mb must be ≥ 1 (use --feature-cache off)");
+                        eprintln!("--feature-cache-mb must be ≥ 1");
                         std::process::exit(2);
                     }
                     opts.feature_cache_mb = v;
@@ -234,8 +221,8 @@ impl RunOptions {
                          --checkpoint PATH --resume --firewall --cell-deadline-ms N \
                          --log-level (error|warn|info|debug) --metrics-out PATH \
                          --manifest PATH --split-strategy (exact|histogram) --max-bins N \
-                         --shards N --shard I --merge --feature-cache (on|off) \
-                         --feature-cache-mb N --trace-out PATH"
+                         --shards N --shard I --merge --feature-cache-mb N \
+                         --trace-out PATH"
                     );
                     std::process::exit(0);
                 }
@@ -285,10 +272,7 @@ impl RunOptions {
     /// The feature-plane cache configuration these options select
     /// (plumbing — byte-transparent and fingerprint-excluded).
     pub fn feature_cache_config(&self) -> hotspot_forecast::FeatureCacheConfig {
-        hotspot_forecast::FeatureCacheConfig {
-            enabled: self.feature_cache,
-            budget_mb: self.feature_cache_mb,
-        }
+        hotspot_forecast::FeatureCacheConfig { budget_mb: self.feature_cache_mb }
     }
 
     /// The Table III `t` values this run evaluates (thinned by
@@ -412,19 +396,14 @@ mod tests {
     #[test]
     fn parses_feature_cache_flags() {
         let d = parse(&[]);
-        assert!(d.feature_cache);
         assert_eq!(
             d.feature_cache_mb,
             hotspot_forecast::FeatureCacheConfig::DEFAULT_BUDGET_MB
         );
         assert_eq!(d.feature_cache_config(), hotspot_forecast::FeatureCacheConfig::default());
-        let off = parse(&["--feature-cache", "off"]);
-        assert!(!off.feature_cache);
-        assert!(off.feature_cache_config().build().is_none());
-        let sized = parse(&["--feature-cache", "on", "--feature-cache-mb", "64"]);
-        assert!(sized.feature_cache);
+        let sized = parse(&["--feature-cache-mb", "64"]);
         assert_eq!(sized.feature_cache_mb, 64);
-        assert!(sized.feature_cache_config().build().is_some());
+        assert_eq!(sized.feature_cache_config().budget_mb, 64);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * **read-only after build** — planes are shared as
 //!   `Arc<FeaturePlane>` and never mutated, so a cached row is the
 //!   *same bytes* `FeatureBuilder::build` would have produced and
-//!   cached/uncached runs stay byte-identical;
+//!   runs at any budget stay byte-identical;
 //! * **memory-bounded** — a byte budget evicts least-recently-used
 //!   planes (never the one just built), so paper-scale sweeps cannot
 //!   grow the resident set without limit. Eviction only costs a
@@ -27,7 +27,7 @@
 //! `features.cache.{hit,miss,build,evict,bytes}` counters (all
 //! monotone counters — deliberately *not* gauges, which the sweep's
 //! deterministic metrics projection would retain and thereby break
-//! cached-vs-uncached projection identity) and wraps each build in a
+//! projection identity across budgets) and wraps each build in a
 //! `features.plane_build` span.
 
 use crate::builders::FeatureBuilder;

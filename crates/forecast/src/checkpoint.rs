@@ -47,9 +47,9 @@ const MAGIC: &str = "# hotspot-sweep-checkpoint v2";
 /// machine shape is still the same sweep — and so is sharding, which
 /// is execution topology, not science: every shard of a sweep (and
 /// its merge) carries the same fingerprint. `feature_cache` is
-/// excluded for the same reason: the plane cache is byte-transparent,
-/// so a cached run may resume an uncached checkpoint (and vice versa)
-/// and still produce identical artifacts.
+/// excluded for the same reason: the plane cache is byte-transparent
+/// at any budget, so a run may resume a checkpoint journaled under
+/// another budget and still produce identical artifacts.
 pub fn config_fingerprint(config: &SweepConfig) -> u64 {
     let identity = format!(
         "{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{:?}|{:?}",
@@ -438,11 +438,8 @@ mod tests {
     #[test]
     fn fingerprint_ignores_feature_cache_plumbing() {
         let base = config();
-        let mut cached_off = config();
-        cached_off.feature_cache = crate::sweep::FeatureCacheConfig::off();
         let mut tiny_budget = config();
         tiny_budget.feature_cache.budget_mb = 1;
-        assert_eq!(config_fingerprint(&base), config_fingerprint(&cached_off));
         assert_eq!(config_fingerprint(&base), config_fingerprint(&tiny_budget));
         // Science fields still move it.
         let mut other_seed = config();

@@ -12,7 +12,7 @@
 
 use crate::context::ForecastContext;
 use hotspot_features::builders::{DailyPercentiles, FeatureBuilder, HandCrafted, RawFlatten};
-use hotspot_features::plane::PlaneCache;
+use hotspot_features::plane::{FeaturePlane, PlaneCache};
 use hotspot_features::windows::{train_window_days, WindowSpec};
 use hotspot_core::matrix::Matrix;
 use hotspot_trees::{
@@ -84,11 +84,12 @@ pub struct ClassifierConfig {
     /// Split-search strategy for every tree-based estimator
     /// (histogram by default; exact for reference runs).
     pub split: SplitStrategy,
-    /// Shared feature-plane cache. When set, training assembly and
-    /// forecasting gather rows from cached `(representation, end_day,
-    /// w)` planes instead of re-featurising per sector; results are
+    /// Shared feature-plane cache. Training assembly and forecasting
+    /// always gather rows from `(representation, end_day, w)` planes;
+    /// when this is set they come from (and stay in) the cache,
+    /// otherwise each fit builds its planes directly. Results are
     /// byte-identical either way (a plane row *is* the builder's
-    /// output). Sweep executors install one cache per process;
+    /// output). Sweep executors install one cache per execution;
     /// standalone callers leave it `None`.
     pub plane_cache: Option<Arc<PlaneCache>>,
 }
@@ -207,6 +208,22 @@ fn training_label_days(t: usize, h: usize, w: usize, train_days: usize) -> Vec<u
     days
 }
 
+/// The `(representation, end_day, w)` feature plane: shared through
+/// `config.plane_cache` when one is installed, built directly
+/// otherwise.
+fn feature_plane(
+    ctx: &ForecastContext,
+    config: &ClassifierConfig,
+    end_day: usize,
+    w: usize,
+) -> Arc<FeaturePlane> {
+    let builder = config.representation.builder();
+    match &config.plane_cache {
+        Some(cache) => cache.get_or_build(builder, &ctx.x, end_day, w),
+        None => Arc::new(FeaturePlane::build(builder, &ctx.x, end_day, w)),
+    }
+}
+
 /// Assemble the training dataset for `(t, h, w)` over all sectors and
 /// `train_days` label days (see [`training_label_days`]). Returns
 /// `None` when no valid training instance exists.
@@ -215,9 +232,7 @@ fn assemble_training(
     spec: &WindowSpec,
     config: &ClassifierConfig,
 ) -> Option<Dataset> {
-    let builder = config.representation.builder();
-    let f = ctx.x.n_features();
-    let dim = builder.dim(f, spec.w);
+    let dim = config.representation.builder().dim(ctx.x.n_features(), spec.w);
     let mut rows: Vec<f64> = Vec::new();
     let mut labels: Vec<bool> = Vec::new();
     for label_day in training_label_days(spec.t, spec.h, spec.w, config.train_days) {
@@ -229,20 +244,14 @@ fn assemble_training(
         // One whole-network plane per (representation, end, w); cells
         // across the grid share it. NaN-labelled sectors are skipped
         // below, but the full plane is what every other cell needs
-        // anyway, and a cached row is byte-identical to building it.
-        let plane = config
-            .plane_cache
-            .as_ref()
-            .map(|cache| cache.get_or_build(builder, &ctx.x, end, spec.w));
+        // anyway.
+        let plane = feature_plane(ctx, config, end, spec.w);
         for i in 0..ctx.n_sectors() {
             let y = ctx.target.get(i, label_day);
             if y.is_nan() {
                 continue;
             }
-            match &plane {
-                Some(p) => rows.extend_from_slice(p.row(i)),
-                None => rows.extend(builder.build(&ctx.x, i, end, spec.w)),
-            }
+            rows.extend_from_slice(plane.row(i));
             labels.push(y >= 0.5);
         }
     }
@@ -265,7 +274,6 @@ pub fn fit_and_forecast(
     config: &ClassifierConfig,
 ) -> Option<FittedClassifier> {
     let data = assemble_training(ctx, spec, config)?;
-    let builder = config.representation.builder();
     let n_train = data.n_samples();
     let n_train_pos = (0..n_train).filter(|&i| data.label(i)).count();
 
@@ -321,16 +329,9 @@ pub fn fit_and_forecast(
 
     // Forecast side: the fresh window ending at `t` is itself a
     // shareable plane (same key for every h at a given (t, w)).
-    let forecast_plane = config
-        .plane_cache
-        .as_ref()
-        .map(|cache| cache.get_or_build(builder, &ctx.x, spec.t, spec.w));
-    let mut predictions: Vec<f64> = (0..ctx.n_sectors())
-        .map(|i| match &forecast_plane {
-            Some(p) => predict(p.row(i)),
-            None => predict(&builder.build(&ctx.x, i, spec.t, spec.w)),
-        })
-        .collect();
+    let forecast_plane = feature_plane(ctx, config, spec.t, spec.w);
+    let mut predictions: Vec<f64> =
+        (0..ctx.n_sectors()).map(|i| predict(forecast_plane.row(i))).collect();
     // Deterministic informative tie-break: at reduced scale many
     // sectors share the exact same ensemble probability (granularity
     // is 1/n_trees), and ordering those ties by sector index would be

@@ -50,7 +50,7 @@ pub struct ForecastContext {
 /// *difference of prefix sums*, whose low-order rounding can differ
 /// from left-to-right summation by ~1 ulp. Every baseline caller uses
 /// this path unconditionally, so results remain deterministic and
-/// identical across cached/uncached, sharded, and resumed runs.
+/// identical across cache budgets, sharded, and resumed runs.
 #[derive(Debug, Clone)]
 pub struct DailyPrefix {
     n_days: usize,

@@ -68,8 +68,8 @@ pub struct InProcessExecutor<'a> {
     pub checkpoint: Option<PathBuf>,
     /// Externally supplied feature-plane cache. `None` (the normal
     /// case) builds one per `execute()` from
-    /// `config.feature_cache`; tests and benches inject a cache here
-    /// to observe its per-instance statistics.
+    /// `config.feature_cache`; tests and the benchmark inject a cache
+    /// here to pick its budget or read its per-instance statistics.
     pub plane_cache: Option<Arc<PlaneCache>>,
 }
 
@@ -90,7 +90,7 @@ impl SweepExecutor for InProcessExecutor<'_> {
         // both sides of every classifier fit). Byte-transparent: see
         // `FeatureCacheConfig`.
         let plane_cache =
-            self.plane_cache.clone().or_else(|| config.feature_cache.build());
+            self.plane_cache.clone().unwrap_or_else(|| config.feature_cache.build());
 
         let mut done: HashMap<CellKey, SweepCell> = HashMap::new();
         let writer = match &self.checkpoint {
@@ -125,7 +125,7 @@ impl SweepExecutor for InProcessExecutor<'_> {
                             let cell = run_cell_resilient(
                                 self.ctx,
                                 config,
-                                plane_cache.as_ref(),
+                                &plane_cache,
                                 key.model,
                                 key.t,
                                 key.h,
@@ -282,7 +282,7 @@ fn attempt_seed(seed: u64, attempt: u32) -> u64 {
 fn run_cell_resilient(
     ctx: &ForecastContext,
     config: &SweepConfig,
-    plane_cache: Option<&Arc<PlaneCache>>,
+    plane_cache: &Arc<PlaneCache>,
     model: ModelSpec,
     t: usize,
     h: usize,
@@ -346,7 +346,7 @@ fn run_cell_resilient(
 fn run_cell_once(
     ctx: &ForecastContext,
     config: &SweepConfig,
-    plane_cache: Option<&Arc<PlaneCache>>,
+    plane_cache: &Arc<PlaneCache>,
     model: ModelSpec,
     t: usize,
     h: usize,
@@ -368,7 +368,7 @@ fn run_cell_once(
             .expect("classifier");
         cc.forest_threads = Some(1); // the sweep already parallelises
         cc.cancel = cancel.cloned();
-        cc.plane_cache = plane_cache.cloned();
+        cc.plane_cache = Some(Arc::clone(plane_cache));
         fit_and_forecast(ctx, &spec, &cc).map(|f| f.predictions)
     } else {
         model.forecast(ctx, &spec, config.n_trees, config.train_days, seed, config.split)

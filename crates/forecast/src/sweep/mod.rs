@@ -152,14 +152,12 @@ impl Default for ResiliencePolicy {
 }
 
 /// Feature-plane cache knobs. Execution plumbing, not science: the
-/// cache is byte-transparent (cached and uncached sweeps produce
-/// identical artifacts), so this struct is **excluded from the config
-/// fingerprint** — cached runs may resume uncached checkpoints and
-/// vice versa.
+/// cache is byte-transparent (any budget, even one that evicts on
+/// every build, produces identical artifacts), so this struct is
+/// **excluded from the config fingerprint** — runs may resume
+/// checkpoints journaled under another budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureCacheConfig {
-    /// Whether classifier cells share feature planes at all.
-    pub enabled: bool,
     /// Byte budget for resident planes, in MiB. Exceeding it evicts
     /// least-recently-used planes (they rebuild on next use).
     pub budget_mb: usize,
@@ -169,21 +167,15 @@ impl FeatureCacheConfig {
     /// Default byte budget (MiB).
     pub const DEFAULT_BUDGET_MB: usize = 256;
 
-    /// Disabled cache (every cell featurises from scratch).
-    pub fn off() -> Self {
-        FeatureCacheConfig { enabled: false, budget_mb: Self::DEFAULT_BUDGET_MB }
-    }
-
     /// Instantiate the process-wide cache this config describes.
-    pub fn build(&self) -> Option<Arc<PlaneCache>> {
-        self.enabled
-            .then(|| Arc::new(PlaneCache::new(self.budget_mb.saturating_mul(1024 * 1024))))
+    pub fn build(&self) -> Arc<PlaneCache> {
+        Arc::new(PlaneCache::new(self.budget_mb.saturating_mul(1024 * 1024)))
     }
 }
 
 impl Default for FeatureCacheConfig {
     fn default() -> Self {
-        FeatureCacheConfig { enabled: true, budget_mb: Self::DEFAULT_BUDGET_MB }
+        FeatureCacheConfig { budget_mb: Self::DEFAULT_BUDGET_MB }
     }
 }
 

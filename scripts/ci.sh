@@ -31,14 +31,8 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 echo '>>> observability smoke'
 scripts/obs_smoke.sh
 
-echo '>>> perf baseline (deterministic pinned counters)'
-scripts/perf_baseline.sh
-
-echo '>>> sweep shard smoke (3-shard merge byte identity)'
+echo '>>> sweep shard smoke (3-shard merge byte identity, default and 1 MiB cache)'
 scripts/sweep_shard_smoke.sh
-
-echo '>>> feature-cache parity smoke (cached vs uncached byte identity)'
-scripts/cache_parity_smoke.sh
 
 if [[ "${1:-}" == "--full" ]]; then
   echo '>>> full workspace tests'

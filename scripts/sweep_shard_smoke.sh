@@ -2,9 +2,11 @@
 # Sharded-sweep smoke: the collector's byte-identity invariant, end to
 # end across real processes.
 #
-# Runs the same reduced Table III sweep twice — once single-process,
-# once as a 3-shard multi-process run (driver + 3 workers + merge) —
-# and asserts the deterministic artifacts are byte-identical:
+# Runs the same reduced Table III sweep three times — once
+# single-process, then twice as a 3-shard multi-process run (driver +
+# 3 workers + merge), at the default feature-plane cache budget and at
+# a 1 MiB budget that forces evictions — and asserts the deterministic
+# artifacts are byte-identical to the single-process reference:
 #
 #   <base>.merged.tsv           canonical TSV (plan order, no wall clock)
 #   <base>.merged.metrics.json  deterministic metrics projection
@@ -17,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 OUT=target/sweep-shard-smoke
 rm -rf "$OUT"
-mkdir -p "$OUT/single" "$OUT/sharded" "$OUT/mixed"
+mkdir -p "$OUT/single" "$OUT/sharded" "$OUT/tiny-cache" "$OUT/mixed"
 
 cargo build --release -p hotspot-bench --bin sweep_worker --bin manifest_check
 
@@ -38,6 +40,17 @@ echo '>>> sweep shard smoke: 3-shard multi-process run'
 echo '>>> sweep shard smoke: byte identity (TSV + metrics projection)'
 cmp "$OUT/single/sweep.merged.tsv" "$OUT/sharded/sweep.merged.tsv"
 cmp "$OUT/single/sweep.merged.metrics.json" "$OUT/sharded/sweep.merged.metrics.json"
+
+echo '>>> sweep shard smoke: 3-shard run with a 1 MiB plane cache'
+./target/release/sweep_worker "${ARGS[@]}" --shards 3 --feature-cache-mb 1 \
+  --checkpoint "$OUT/tiny-cache/sweep.tsv"
+cmp "$OUT/single/sweep.merged.tsv" "$OUT/tiny-cache/sweep.merged.tsv"
+cmp "$OUT/single/sweep.merged.metrics.json" "$OUT/tiny-cache/sweep.merged.metrics.json"
+# The budget must really bite, or this run only repeats the one above.
+grep -Eq '"features\.cache\.evict": *[1-9]' "$OUT/tiny-cache/sweep.shard-0-of-3.manifest.json" || {
+  echo 'sweep shard smoke: the 1 MiB cache evicted nothing in shard 0' >&2
+  exit 1
+}
 
 echo '>>> sweep shard smoke: shard manifests share the config fingerprint'
 ./target/release/manifest_check --compare \

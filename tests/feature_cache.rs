@@ -1,8 +1,13 @@
-//! The feature-plane cache's one hard invariant, end to end: a cached
-//! sweep is **byte-identical** to an uncached one — same canonical
-//! TSV, same health — for any budget, split strategy, shard topology,
-//! or checkpoint-resume history. The cache may only move wall-clock
-//! time, never a number.
+//! The feature-plane cache's one hard invariant, end to end: a sweep
+//! is **byte-identical** — same canonical TSV, same health — for any
+//! cache budget, split strategy, shard topology, or checkpoint-resume
+//! history. The cache may only move wall-clock time, never a number.
+//!
+//! The reference is a sweep against an injected `PlaneCache::new(0)`:
+//! a zero budget evicts every other plane on each build, so nothing is
+//! shared between cells and every plane is rebuilt on demand. A plane
+//! row is `FeatureBuilder::build`'s output by construction (see the
+//! features crate's `plane_rows_match_direct_builds`).
 //!
 //! All cache-behaviour assertions use an injected
 //! [`PlaneCache`]'s per-instance [`PlaneCache::stats`]; the global
@@ -55,7 +60,6 @@ fn config(
     seed: u64,
     n_threads: usize,
     split: SplitStrategy,
-    feature_cache: FeatureCacheConfig,
 ) -> SweepConfig {
     SweepConfig {
         models: vec![ModelSpec::Average, ModelSpec::RfF1],
@@ -69,7 +73,7 @@ fn config(
         n_threads: Some(n_threads),
         resilience: ResiliencePolicy::default(),
         split,
-        feature_cache,
+        feature_cache: FeatureCacheConfig::default(),
     }
 }
 
@@ -105,58 +109,52 @@ fn run_with_cache(
     SweepResult::from_cells(cells)
 }
 
+/// The reference run: the whole plan against an always-evicting
+/// cache, which must actually have evicted.
+fn always_evicting_reference(cfg: &SweepConfig) -> String {
+    let cache = Arc::new(PlaneCache::new(0));
+    let reference = run_with_cache(cfg, &cache, None);
+    assert!(reference.health.is_clean());
+    assert!(cache.stats().evictions > 0, "a zero budget must evict");
+    tsv(cfg, &reference)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Cached and uncached sweeps are byte-identical for every budget,
-    /// split strategy, seed, and thread count.
+    /// A sweep at the default budget is byte-identical to the
+    /// always-evicting reference for every split strategy, seed, and
+    /// thread count.
     #[test]
-    fn cached_sweep_is_byte_identical_to_uncached(
+    fn cached_sweep_is_byte_identical_to_always_evicting_cache(
         n_ts in 1usize..3,
         both_hs in any::<bool>(),
         seed in 1u64..5,
         n_threads in 1usize..3,
         exact in any::<bool>(),
-        tiny_budget in any::<bool>(),
     ) {
         let ts = vec![20, 24][..n_ts].to_vec();
         let hs = if both_hs { vec![1, 3] } else { vec![1] };
         let split = if exact { SplitStrategy::Exact } else { SplitStrategy::default() };
-        let cache = FeatureCacheConfig {
-            enabled: true,
-            budget_mb: if tiny_budget { 1 } else { FeatureCacheConfig::DEFAULT_BUDGET_MB },
-        };
+        let cfg = config(ts, hs, seed, n_threads, split);
 
-        let cached_cfg = config(ts.clone(), hs.clone(), seed, n_threads, split, cache);
-        let uncached_cfg = config(ts, hs, seed, n_threads, split, FeatureCacheConfig::off());
-
-        let cached = run_sweep(ctx(), &cached_cfg);
-        let uncached = run_sweep(ctx(), &uncached_cfg);
+        let cached = run_sweep(ctx(), &cfg);
         prop_assert!(cached.health.is_clean());
         prop_assert_eq!(
-            tsv(&cached_cfg, &cached),
-            tsv(&uncached_cfg, &uncached),
+            tsv(&cfg, &cached),
+            always_evicting_reference(&cfg),
             "cache must be byte-transparent"
         );
     }
 }
 
-/// A 2-shard cached run merges to the same bytes as an uncached
-/// single-process sweep: per-shard caches cannot leak state into the
-/// results.
+/// A 2-shard cached run merges to the same bytes as the
+/// always-evicting single-process reference: per-shard caches cannot
+/// leak state into the results.
 #[test]
-fn sharded_cached_run_merges_to_uncached_single_process() {
-    let cached_cfg = config(
-        vec![20, 24],
-        vec![1, 3],
-        3,
-        2,
-        SplitStrategy::default(),
-        FeatureCacheConfig::default(),
-    );
-    let uncached_cfg =
-        SweepConfig { feature_cache: FeatureCacheConfig::off(), ..cached_cfg.clone() };
-    let plan = SweepPlan::new(&cached_cfg);
+fn sharded_cached_run_merges_to_always_evicting_single_process() {
+    let cfg = config(vec![20, 24], vec![1, 3], 3, 2, SplitStrategy::default());
+    let plan = SweepPlan::new(&cfg);
     let dir = scratch_dir("sharded");
     let base = dir.join("sweep.tsv");
     const N: u64 = 2;
@@ -166,7 +164,7 @@ fn sharded_cached_run_merges_to_uncached_single_process() {
             let files = ShardFiles::for_base(&base, shard);
             InProcessExecutor {
                 ctx: ctx(),
-                config: &cached_cfg,
+                config: &cfg,
                 shard,
                 checkpoint: Some(files.checkpoint.clone()),
                 plane_cache: None,
@@ -177,11 +175,10 @@ fn sharded_cached_run_merges_to_uncached_single_process() {
         })
         .collect();
     let merged = merge_shards(&plan, &files).unwrap();
-    let uncached = run_sweep(ctx(), &uncached_cfg);
     assert_eq!(
         canonical_tsv(&plan, &merged.result).unwrap(),
-        tsv(&uncached_cfg, &uncached),
-        "sharded cached merge must equal the uncached single-process sweep"
+        always_evicting_reference(&cfg),
+        "sharded cached merge must equal the always-evicting single-process sweep"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -191,14 +188,7 @@ fn sharded_cached_run_merges_to_uncached_single_process() {
 /// builds nothing new — build-at-most-once across executes.
 #[test]
 fn resume_and_warm_cache_build_nothing_new() {
-    let cfg = config(
-        vec![20, 24],
-        vec![1, 3],
-        3,
-        2,
-        SplitStrategy::default(),
-        FeatureCacheConfig::default(),
-    );
+    let cfg = config(vec![20, 24], vec![1, 3], 3, 2, SplitStrategy::default());
     let dir = scratch_dir("resume");
     let checkpoint = dir.join("sweep.tsv");
 
