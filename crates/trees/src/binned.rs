@@ -9,7 +9,10 @@
 //!   shared read-only across all trees): per-feature quantile bin
 //!   edges plus `u8` bin codes stored column-major so the
 //!   per-feature accumulation loop scans contiguous memory (bins are
-//!   capped at 256 per feature, so every code fits a byte);
+//!   capped at 256 per feature, so every code fits a byte). The build
+//!   sorts each column once, as integer-ordered `(key, row)` pairs in
+//!   cache-sized blocks of columns, and writes the codes in one walk
+//!   over each sorted column;
 //! * a [`NodeHistogram`] accumulates a `(bin × {a, b})` pair table for
 //!   one node — `(weight, positive_weight)` for classification trees,
 //!   `(gradient, hessian)` for GBDT — and split search walks bins
@@ -25,6 +28,7 @@
 //! (see DESIGN.md §9).
 
 use crate::dataset::Dataset;
+use hotspot_obs as obs;
 
 /// How a tree searches for split points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,6 +69,31 @@ pub const HIST_MIN_NODE_ROWS: usize = 32;
 /// The most bins a feature can get: every bin code fits in a `u8`.
 const MAX_BINS_CAP: u16 = 256;
 
+/// Columns [`BinnedDataset::build`] reads per pass over the rows: its
+/// scratch is one block of `8 · n · BIN_BLOCK` bytes of keys (1 MB at
+/// 1950 rows), never a transposed copy of the whole matrix.
+const BIN_BLOCK: usize = 64;
+
+/// Map a finite `f64` to a `u64` whose integer order is the value's
+/// numeric order (negatives flipped whole, non-negatives get the sign
+/// bit set). `-0.0` sorts just below `+0.0`, which the binning never
+/// tells apart (DESIGN.md §9).
+#[inline]
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`order_key`].
+#[inline]
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+}
+
 /// Quantile-binned view of a [`Dataset`]'s features, built once per
 /// fit and shared read-only across all trees of a forest.
 ///
@@ -88,28 +117,54 @@ pub struct BinnedDataset {
 
 impl BinnedDataset {
     /// Bin every feature of `data` into at most `max_bins` quantile
-    /// bins (`max_bins` is clamped to `2..=256`). Cost: one sort per
-    /// feature, `O(d · n log n)` — paid once per fit.
+    /// bins (`max_bins` is clamped to `2..=256`). Cost: one key sort
+    /// per feature, `O(d · n log n)`, in blocks of [`BIN_BLOCK`]
+    /// columns; codes are then written by one walk over each sorted
+    /// column — paid once per fit.
     pub fn build(data: &Dataset, max_bins: u16) -> Self {
+        let _span = obs::span!("trees.bin");
         let n = data.n_samples();
         let d = data.n_features();
         let max_bins = usize::from(max_bins.clamp(2, MAX_BINS_CAP));
         let mut offsets = Vec::with_capacity(d + 1);
         let mut cuts: Vec<Vec<f64>> = Vec::with_capacity(d);
         offsets.push(0usize);
-        let mut column: Vec<f64> = Vec::with_capacity(n);
-        for f in 0..d {
-            column.clear();
-            column.extend((0..n).map(|i| data.feature(i, f)));
-            column.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite features"));
-            cuts.push(feature_cuts(&column, max_bins));
-            let n_bins = cuts[f].len() + 1;
-            offsets.push(offsets[f] + n_bins);
-        }
         let mut codes = vec![0u8; n * d];
-        for f in 0..d {
+        // One block of order keys, column after column, reused across
+        // blocks: filling it reads each row's slice of the block
+        // contiguously. Each column is then sorted as `(key, row)`
+        // pairs in a buffer of its own.
+        let mut keys: Vec<u64> = vec![0; n * BIN_BLOCK.min(d)];
+        let mut column: Vec<(u64, usize)> = Vec::with_capacity(n);
+        let mut sorted: Vec<f64> = Vec::with_capacity(n);
+        for f0 in (0..d).step_by(BIN_BLOCK) {
+            let width = BIN_BLOCK.min(d - f0);
             for i in 0..n {
-                codes[f * n + i] = cuts[f].partition_point(|&c| c < data.feature(i, f)) as u8;
+                for (k, &v) in data.row(i)[f0..f0 + width].iter().enumerate() {
+                    keys[k * n + i] = order_key(v);
+                }
+            }
+            for k in 0..width {
+                let f = f0 + k;
+                column.clear();
+                column.extend(keys[k * n..(k + 1) * n].iter().copied().zip(0..));
+                column.sort_unstable_by_key(|&(key, _)| key);
+                sorted.clear();
+                sorted.extend(column.iter().map(|&(key, _)| from_order_key(key)));
+                let feature = feature_cuts(&sorted, max_bins);
+                // A row's code is the number of cuts below its value
+                // (`partition_point(|&c| c < v)`); values ascend, so
+                // the count only ever moves up.
+                let out = &mut codes[f * n..(f + 1) * n];
+                let mut bin = 0;
+                for (&(_, row), &v) in column.iter().zip(&sorted) {
+                    while bin < feature.len() && feature[bin] < v {
+                        bin += 1;
+                    }
+                    out[row] = bin as u8;
+                }
+                offsets.push(offsets[f] + feature.len() + 1);
+                cuts.push(feature);
             }
         }
         BinnedDataset { n_rows: n, n_features: d, offsets, cuts, codes }
@@ -203,8 +258,9 @@ impl BinnedDataset {
 /// Cut points for one sorted feature column: one bin per distinct
 /// value when they fit in `max_bins`, greedy equal-count quantile
 /// grouping otherwise. Cuts are midpoints between adjacent
-/// *represented* values, so assigning rows by `partition_point` over
-/// the cuts reproduces exact search's `value <= threshold` routing.
+/// *represented* values, so coding each row by the number of cuts
+/// below its value reproduces exact search's `value <= threshold`
+/// routing.
 fn feature_cuts(sorted: &[f64], max_bins: usize) -> Vec<f64> {
     // Distinct values with multiplicities.
     let mut distinct: Vec<(f64, usize)> = Vec::new();
@@ -324,10 +380,97 @@ impl HistPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn data(features: Vec<f64>, d: usize) -> Dataset {
         let n = features.len() / d;
         Dataset::new(features, d, vec![true; n]).unwrap()
+    }
+
+    /// The per-feature binner `build` replaced, kept as its oracle:
+    /// gather each column, sort it with `partial_cmp`, then code every
+    /// `(row, feature)` with `partition_point` over the cuts.
+    fn reference_build(data: &Dataset, max_bins: u16) -> (Vec<Vec<f64>>, Vec<u8>) {
+        let n = data.n_samples();
+        let d = data.n_features();
+        let max_bins = usize::from(max_bins.clamp(2, MAX_BINS_CAP));
+        let mut cuts: Vec<Vec<f64>> = Vec::with_capacity(d);
+        let mut column: Vec<f64> = Vec::with_capacity(n);
+        for f in 0..d {
+            column.clear();
+            column.extend((0..n).map(|i| data.feature(i, f)));
+            column.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite features"));
+            cuts.push(feature_cuts(&column, max_bins));
+        }
+        let mut codes = vec![0u8; n * d];
+        for f in 0..d {
+            for i in 0..n {
+                codes[f * n + i] = cuts[f].partition_point(|&c| c < data.feature(i, f)) as u8;
+            }
+        }
+        (cuts, codes)
+    }
+
+    /// A value for column `f`, cycling through the column shapes the
+    /// binner must handle.
+    fn column_value(rng: &mut StdRng, f: usize) -> f64 {
+        match f % 10 {
+            // Constant.
+            0 => 4.25,
+            // Heavy duplicates.
+            1 => [-3.0, -1.0, 0.0, 2.5][rng.random_range(0..4usize)],
+            // 12 distinct values: within 16, 255 and 256 bins, not 2.
+            2 => rng.random_range(0..12u32).into(),
+            // As many distinct values as rows, both signs.
+            3 => rng.random::<f64>() * 100.0 - 50.0,
+            // All negative.
+            4 => -1.0 - rng.random::<f64>() * 1e3,
+            // -0.0 and 0.0 among other values.
+            5 => [-0.0, 0.0, -1.5, 0.75][rng.random_range(0..4usize)],
+            // Only -0.0 and 0.0.
+            6 => [-0.0, 0.0][rng.random_range(0..2usize)],
+            // Large magnitudes.
+            7 => (rng.random::<f64>() - 0.5) * 1e300,
+            // Subnormal and near-subnormal magnitudes.
+            8 => (rng.random::<f64>() - 0.5) * 4.0 * f64::MIN_POSITIVE,
+            // Adjacent floats: the midpoint of 1 and 1 + ε rounds to 1,
+            // so some values equal a cut exactly.
+            _ => 1.0 + f64::from(rng.random_range(0..4u32)) * f64::EPSILON,
+        }
+    }
+
+    #[test]
+    fn build_matches_reference_binner_bit_for_bit() {
+        let d = 2 * BIN_BLOCK + 7;
+        let mut rng = StdRng::seed_from_u64(10);
+        for n in [1, 31, 32, 33, 300] {
+            let mut features = Vec::with_capacity(n * d);
+            for _ in 0..n {
+                features.extend((0..d).map(|f| column_value(&mut rng, f)));
+            }
+            let ds = data(features, d);
+            for max_bins in [2, 16, 255, 256] {
+                let binned = BinnedDataset::build(&ds, max_bins);
+                let (cuts, codes) = reference_build(&ds, max_bins);
+                for (f, want) in cuts.iter().enumerate() {
+                    let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&binned.cuts[f]),
+                        bits(want),
+                        "cuts: n {n}, max_bins {max_bins}, feature {f}"
+                    );
+                    assert_eq!(binned.n_bins(f), want.len() + 1);
+                }
+                for f in 0..d {
+                    assert_eq!(
+                        binned.column(f),
+                        &codes[f * n..(f + 1) * n],
+                        "codes: n {n}, max_bins {max_bins}, feature {f}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

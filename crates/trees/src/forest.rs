@@ -271,6 +271,17 @@ mod tests {
     }
 
     #[test]
+    fn histogram_fit_records_a_bin_span() {
+        obs::set_spans_enabled(true);
+        RandomForest::fit(&blobs(4, 64), &small_params(3));
+        let spans = obs::global().snapshot().spans;
+        obs::set_spans_enabled(false);
+        // The registry is process-global and other tests fit forests
+        // too, so only presence is asserted, not a count.
+        assert!(spans.keys().any(|k| k.ends_with("trees.bin")), "{:?}", spans.keys());
+    }
+
+    #[test]
     fn learns_separable_blobs() {
         let d = blobs(1, 200);
         let f = RandomForest::fit(&d, &small_params(7));

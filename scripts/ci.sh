@@ -6,7 +6,8 @@
 #
 # Tier-1 (ROADMAP.md) is the root package: release build + its tests.
 # The nn crate's unit tests (kernel parity, the imputer's bit-identity
-# digests) are not in the root package, so they run next.
+# digests) and the trees crate's (the binner's bit-identity oracle) are
+# not in the root package, so they run next.
 # Clippy runs with -D warnings so lints cannot accumulate silently.
 # The benchmark (benchmark/, a workspace of its own that clippy never
 # sees) is compiled against the current crates and unit-tested.
@@ -21,6 +22,9 @@ cargo test -q
 
 echo '>>> nn unit tests (kernel parity, imputer golden digests)'
 cargo test -q -p hotspot-nn
+
+echo '>>> trees unit tests (binner bit identity, split engines)'
+cargo test -q -p hotspot-trees
 
 echo '>>> clippy (workspace, -D warnings)'
 cargo clippy --workspace --all-targets -- -D warnings
